@@ -59,6 +59,27 @@ fn git_revision(root: &Path) -> Option<String> {
     })
 }
 
+/// CPU time the threads of this process have run so far, in nanoseconds
+/// (`CLOCK_PROCESS_CPUTIME_ID`, 64-bit Linux). On a virtual machine whose
+/// kernel accounts steal time, this leaves out the time the hypervisor ran
+/// other guests on the virtual CPU, which wall time counts.
+pub fn process_cpu_ns() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call's duration.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
+}
+
 /// Peak resident memory of this process so far, in MiB (`VmHWM`).
 pub fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -80,6 +101,17 @@ mod tests {
     #[test]
     fn peak_rss_is_positive() {
         assert!(peak_rss_mb().is_some_and(|mb| mb > 0.0));
+    }
+
+    #[test]
+    fn process_cpu_time_advances_with_work() {
+        let (wall, before) = (std::time::Instant::now(), process_cpu_ns());
+        let mut x = 1u64;
+        while wall.elapsed().as_millis() < 20 {
+            x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+        }
+        let used = process_cpu_ns() - before;
+        assert!(used > 1_000_000, "20 ms of spinning used {used} ns of CPU");
     }
 
     #[test]

@@ -77,47 +77,49 @@ struct RunResult {
     spans: SpanLog,
 }
 
-/// The untraced run: cycle through the run's simulation seeds until every
-/// seed ran, one seed ran again, and `seconds` have passed. Every repeat
-/// must reproduce its seed's first outcome exactly.
+/// The untraced run: cycle through the run's simulation seeds (one simulated
+/// day each) until every seed ran, one seed ran again, and `seconds` have
+/// passed. Every repeat must reproduce its seed's first outcome exactly.
 fn plain_run(workload: Workload, seed: u64, seconds: f64, out_dir: &Path) -> RunResult {
     let seeds = perfbench::sim_seeds(seed, workload.seeds_per_run());
     let start = Instant::now();
-    let mut first = vec![None; seeds.len()];
-    let mut execs: Vec<Execution> = Vec::new();
+    let mut by_day: Vec<Vec<Execution>> = vec![Vec::new(); seeds.len()];
+    let mut executions = 0;
     let mut errors = Vec::new();
     let mut peak = None;
-    while execs.len() <= seeds.len() || start.elapsed().as_secs_f64() < seconds {
-        let k = execs.len() % seeds.len();
+    while executions <= seeds.len() || start.elapsed().as_secs_f64() < seconds {
+        let k = executions % seeds.len();
         let exec = execute(workload, seeds[k], Leg::Plain, Some(out_dir));
-        if execs.is_empty() {
+        if executions == 0 {
             // The peak of a process that ran the workload once, as a `loki
             // run` user's does; later executions add only allocator history.
             peak = peak_rss_mb();
         }
         errors.extend(outcome_conserves(&exec.outcome).err());
-        match &first[k] {
-            None => first[k] = Some(exec.outcome.clone()),
-            Some(expected) => {
-                let label = format!("seed {} repeat", seeds[k]);
-                errors.extend(identical(&label, expected, &exec.outcome).err());
-            }
+        if let Some(expected) = by_day[k].first() {
+            let label = format!("seed {} repeat", seeds[k]);
+            errors.extend(identical(&label, &expected.outcome, &exec.outcome).err());
         }
-        execs.push(exec);
+        by_day[k].push(exec);
+        executions += 1;
     }
+    println!(
+        "wall_s {} s (median host wall time per execution, steal time included)",
+        number(measure::median(by_day.iter().flatten().map(|e| e.wall_s)))
+    );
     let mut pooled = Pooled::default();
-    for outcome in first.iter().flatten() {
-        pooled.add(workload, outcome);
+    for day in &by_day {
+        pooled.add(workload, &day[0].outcome);
     }
     let peak = peak.unwrap_or_else(|| {
         errors.push("peak RSS unavailable (no /proc/self/status)".to_string());
         0.0
     });
     RunResult {
-        metrics: measure::end_to_end(&execs, &pooled, peak),
+        metrics: measure::end_to_end(&by_day, &pooled, peak),
         attempted: pooled.arrivals,
         errors,
-        executions: execs.len(),
+        executions,
         spans: SpanLog::default(),
     }
 }

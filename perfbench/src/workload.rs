@@ -5,6 +5,7 @@
 //! canonical point (Loki-greedy controllers, default drop policy), split at
 //! the layer boundaries so each part can be timed from here.
 
+use crate::host::process_cpu_ns;
 use crate::spans::{duration_ns, Clock, Interval};
 use crate::timed::{CallLog, TimedArbiter, TimedController, TimedPolicy};
 use loki_bench::figures::summary_json;
@@ -27,7 +28,8 @@ pub enum Workload {
     /// one million arrivals, default sinks (latency histograms on).
     Steady1m,
     /// `multi_zipf_16`: 16 Zipf-popularity tenants on 64 shared workers
-    /// under the contended Resource Manager, lanes on two threads.
+    /// under the contended Resource Manager, lanes on two threads (on one in
+    /// the end-to-end leg).
     Zipf16Shared,
     /// `spot_diurnal`: an autoscaled spot fleet over a diurnal day, with
     /// every observation sink on and the timeline export written.
@@ -94,14 +96,14 @@ impl Workload {
             }
         }
         match leg {
-            Leg::Plain | Leg::Traced => {}
+            Leg::Traced => {}
             Leg::SinksOff => {
                 cfg.trace_sample = 0;
                 cfg.timeline = false;
                 cfg.profile = false;
                 cfg.hist = false;
             }
-            Leg::Serial => cfg.jobs = 1,
+            Leg::Plain | Leg::Serial => cfg.jobs = 1,
         }
         cfg
     }
@@ -125,7 +127,11 @@ impl Workload {
 /// Which variant of a workload one execution runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Leg {
-    /// The workload as defined, with no decorators: the end-to-end measurement.
+    /// The workload with no decorators and every lane on the calling thread
+    /// (`jobs=1`): the end-to-end measurement. Its host metrics are CPU
+    /// time, which a second lane thread cannot shorten; on a shared virtual
+    /// machine two threads' CPU time also grew with the host's load while
+    /// one thread's did not (see `README.md`).
     Plain,
     /// The workload with a timing decorator around every layer.
     Traced,
@@ -212,11 +218,15 @@ pub struct Execution {
     pub arrivals: u64,
     /// Discrete events the engine processed.
     pub events: u64,
-    pub setup_s: f64,
     /// The engine's run call.
     pub run_s: f64,
     /// Set-up plus engine run plus report.
     pub wall_s: f64,
+    /// Process CPU time, every thread, of the set-up, of the engine's run
+    /// call, and of set-up plus run plus report.
+    pub cpu_setup_s: f64,
+    pub cpu_run_s: f64,
+    pub cpu_s: f64,
     pub report_bytes: u64,
     /// Spans of the sampled query traces.
     pub trace_spans: u64,
@@ -294,12 +304,15 @@ struct Marks {
     setup_end: u64,
     engine_end: u64,
     end: u64,
+    /// Process CPU time at `start`, `setup_end`, `engine_end` and `end`.
+    cpu: [u64; 4],
 }
 
 fn run_single<P: Probe>(point: &RunPoint, out_dir: Option<&Path>) -> Execution {
     let clock = Clock::start();
     let cfg = &point.cfg;
     let start = clock.now_ns();
+    let cpu_start = process_cpu_ns();
     let graph = point.pipeline.build(cfg.slo_ms);
     let workload_start = clock.now_ns();
     let trace = point.build_trace();
@@ -319,6 +332,7 @@ fn run_single<P: Probe>(point: &RunPoint, out_dir: Option<&Path>) -> Execution {
         .then(|| loki_bench::provisioner_policy(cfg, graph.num_tasks(), trace.mean_qps()));
     let mut sim = Simulation::new(&graph, config, controller);
     let setup_end = clock.now_ns();
+    let cpu_setup_end = process_cpu_ns();
 
     let (result, decide) = match (policy, P::TRACED) {
         (Some(policy), true) => {
@@ -330,6 +344,7 @@ fn run_single<P: Probe>(point: &RunPoint, out_dir: Option<&Path>) -> Execution {
         (None, _) => (sim.run(&arrivals), CallLog::default()),
     };
     let engine_end = clock.now_ns();
+    let cpu_engine_end = process_cpu_ns();
 
     let controller = sim.into_controller();
     let routing_cache = cache_counts(controller.stats());
@@ -357,6 +372,7 @@ fn run_single<P: Probe>(point: &RunPoint, out_dir: Option<&Path>) -> Execution {
         setup_end,
         engine_end,
         end: clock.now_ns(),
+        cpu: [cpu_start, cpu_setup_end, cpu_engine_end, process_cpu_ns()],
     };
 
     let layers = controller.logs().map(|(plan, routing)| Layers {
@@ -381,6 +397,7 @@ fn run_multi<P: Probe>(point: &RunPoint, spec: &MultiSpec, out_dir: Option<&Path
     let clock = Clock::start();
     let cfg = &point.cfg;
     let start = clock.now_ns();
+    let cpu_start = process_cpu_ns();
     let graphs: Vec<_> = spec
         .lanes
         .iter()
@@ -445,6 +462,7 @@ fn run_multi<P: Probe>(point: &RunPoint, spec: &MultiSpec, out_dir: Option<&Path
     let policy = (cfg.elastic == ElasticMode::Autoscale)
         .then(|| loki_bench::provisioner_policy(cfg, total_tasks, offered_total));
     let setup_end = clock.now_ns();
+    let cpu_setup_end = process_cpu_ns();
 
     let (outcome, partition, decide) = if P::TRACED {
         let mut arbiter = TimedArbiter::new(arbiter, clock);
@@ -464,6 +482,7 @@ fn run_multi<P: Probe>(point: &RunPoint, spec: &MultiSpec, out_dir: Option<&Path
         (outcome, CallLog::default(), CallLog::default())
     };
     let engine_end = clock.now_ns();
+    let cpu_engine_end = process_cpu_ns();
 
     let controllers: Vec<P> = sim
         .into_pipelines()
@@ -484,6 +503,7 @@ fn run_multi<P: Probe>(point: &RunPoint, spec: &MultiSpec, out_dir: Option<&Path
         setup_end,
         engine_end,
         end: clock.now_ns(),
+        cpu: [cpu_start, cpu_setup_end, cpu_engine_end, process_cpu_ns()],
     };
 
     let routing_cache = controllers
@@ -643,9 +663,11 @@ fn finish(
     Execution {
         arrivals: point.arrivals as u64,
         events: result.summary.events_processed,
-        setup_s: secs((marks.start, marks.setup_end)),
         run_s: secs((marks.setup_end, marks.engine_end)),
         wall_s: secs((marks.start, marks.end)),
+        cpu_setup_s: secs((marks.cpu[0], marks.cpu[1])),
+        cpu_run_s: secs((marks.cpu[1], marks.cpu[2])),
+        cpu_s: secs((marks.cpu[0], marks.cpu[3])),
         report_bytes,
         trace_spans: result.trace.as_ref().map_or(0, |t| t.num_spans() as u64),
         journal_events: result.journal.as_ref().map_or(0, |j| j.len() as u64),
