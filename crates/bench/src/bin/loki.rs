@@ -457,6 +457,9 @@ fn cmd_sweep(args: &[String]) {
                             if let Some(burn) = &point.burn {
                                 obj.push("burn", loki_bench::timeline::burn_json(burn));
                             }
+                            if let Some(p) = &point.result.profile {
+                                obj.push("profile", figures::profile_json(p));
+                            }
                             if !point.per_pipeline.is_empty() {
                                 obj.push(
                                     "pipelines",

@@ -20,7 +20,7 @@ use loki_core::greedy::GreedyAllocator;
 use loki_core::milp_alloc::MilpAllocator;
 use loki_core::perf::{FanoutOverrides, PerfModel};
 use loki_core::{LokiConfig, LokiController, ScalingMode};
-use loki_sim::{CostSummary, DropPolicy, RunSummary, SimResult};
+use loki_sim::{CostSummary, DropPolicy, RunSummary, SimResult, PHASE_NAMES, SAMPLE_PERIOD};
 use loki_workload::TraceSpec;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -102,41 +102,55 @@ pub fn summary_json(s: &RunSummary) -> Json {
     obj
 }
 
-/// JSON view of an engine self-profile: host wall-clock seconds per dispatch
-/// phase (`profile=true` runs only). Host time, not simulated time — these
-/// fields are excluded from determinism comparisons, like `lane_wall_s`.
+/// JSON view of an engine self-profile (`profile=true` runs only): per
+/// phase, its estimated host seconds (`<phase>_s`), and under `phases` its
+/// exact event count, how many of those events were timed, and the estimated
+/// host ns per event; plus what the profiler's own timer calls cost
+/// (`timer_s` in all, `timer_ns` per timed event). Host time, not simulated
+/// time — the seconds are excluded from determinism comparisons, like
+/// `lane_wall_s`; the event counts are deterministic.
 pub fn profile_json(p: &loki_sim::PhaseProfile) -> Json {
     let mut obj = Json::object();
-    obj.push("arrival_s", p.arrival_s.into())
-        .push("delivery_s", p.delivery_s.into())
-        .push("batch_s", p.batch_s.into())
-        .push("control_s", p.control_s.into())
-        .push("routing_s", p.routing_s.into())
-        .push("metrics_s", p.metrics_s.into())
-        .push("swap_s", p.swap_s.into())
-        .push("market_s", p.market_s.into())
-        .push("elastic_s", p.elastic_s.into())
-        .push("rebalance_s", p.rebalance_s.into())
-        .push("lane_total_s", p.lane_total_s().into());
+    let mut phases = Json::object();
+    for (i, (name, secs)) in PHASE_NAMES.iter().zip(p.seconds()).enumerate() {
+        obj.push(&format!("{name}_s"), secs.into());
+        let mut phase = Json::object();
+        phase
+            .push("events", p.events[i].into())
+            .push("timed", p.timed[i].into())
+            .push("ns_per_event", p.ns_per_event(i).into());
+        phases.push(name, phase);
+    }
+    obj.push("lane_total_s", p.lane_total_s().into())
+        .push("timer_s", p.timer_s.into())
+        .push("timer_ns", p.timer_ns().into())
+        .push("phases", phases);
     obj
 }
 
-/// One-line text rendering of an engine self-profile.
+/// One-line text rendering of an engine self-profile: per phase with events,
+/// its estimated host seconds, event count and ns per event, then the
+/// profiler's own timer cost.
 pub fn profile_text(p: &loki_sim::PhaseProfile) -> String {
-    format!(
-        "engine profile (host-s): arrival {:.4}  delivery {:.4}  batch {:.4}  control {:.4}  \
-         routing {:.4}  metrics {:.4}  swap {:.4}  market {:.4}  elastic {:.4}  rebalance {:.4}",
-        p.arrival_s,
-        p.delivery_s,
-        p.batch_s,
-        p.control_s,
-        p.routing_s,
-        p.metrics_s,
-        p.swap_s,
-        p.market_s,
-        p.elastic_s,
-        p.rebalance_s
-    )
+    let mut text = String::from("engine profile (host-s, events, ns/event):");
+    for (i, (name, secs)) in PHASE_NAMES.iter().zip(p.seconds()).enumerate() {
+        if p.events[i] > 0 {
+            let _ = write!(
+                text,
+                "  {name} {secs:.4} {} {:.0}",
+                p.events[i],
+                p.ns_per_event(i)
+            );
+        }
+    }
+    let _ = write!(
+        text,
+        "  | timer {:.4} s ({:.0} ns x {} timed; 1 in {SAMPLE_PERIOD} of arrival/delivery/batch)",
+        p.timer_s,
+        p.timer_ns(),
+        p.timed.iter().sum::<u64>()
+    );
+    text
 }
 
 /// JSON view of the experiment knobs a report was produced with.
@@ -666,6 +680,10 @@ fn elastic_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Sce
             .push("slo_attainment", slo_attainment(s).into())
             .push("cost", cost_json(cost))
             .push("summary", summary_json(s));
+        if let Some(p) = &point.result.profile {
+            let _ = writeln!(text, "{:<14} {}", "", profile_text(p));
+            row.push("profile", profile_json(p));
+        }
         rows.push(row);
     }
 
@@ -778,6 +796,10 @@ fn spot_family(sc: &Scenario, cfg: &ExperimentConfig, runner: &Runner) -> Scenar
             .push("cost", cost_json(cost))
             .push("summary", summary_json(s))
             .push("burn", crate::timeline::burn_json(burn));
+        if let Some(p) = &point.result.profile {
+            let _ = writeln!(text, "{:<18} {}", "", profile_text(p));
+            row.push("profile", profile_json(p));
+        }
         rows.push(row);
     }
 

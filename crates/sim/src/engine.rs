@@ -58,6 +58,7 @@ use crate::metrics::{ClassCost, CostSummary, IntervalMetrics, RunSummary};
 use crate::multi::{ArbiterObservation, ResourceArbiter};
 use crate::par::par_map;
 use crate::shard::{fallback_worker_for_task, Fleet, LaneCtx, LaneEvent, LaneState, Shard, FREE};
+use crate::trace::{Phase, PhaseSampler, Stamp};
 use crate::types::{ms_to_us, secs_to_us, Controller, Query, SimConfig, SimTime, WorkerId};
 use crate::worker::{Lifecycle, Worker};
 use loki_pipeline::PipelineGraph;
@@ -302,9 +303,10 @@ pub(crate) struct Engine<'a> {
     has_arbiter: bool,
     /// Whole-run cost summary, computed at the end of an elastic run.
     cost: Option<CostSummary>,
-    /// Wall-clock attribution of the driver's barrier-time cluster handlers
-    /// (rebalance, elastic, market) when `observe.profile` is on.
-    cluster_profile: Option<Box<crate::trace::PhaseProfile>>,
+    /// Host-time attribution of the driver's barrier-time cluster handlers
+    /// (rebalance, elastic, market) when `observe.profile` is on. Every
+    /// cluster event is timed: they are rare.
+    cluster_profile: Option<Box<PhaseSampler>>,
     /// The driver-side cluster event journal when `observe.timeline` is on.
     /// Recording is observation-only: no hook consumes RNG draws or schedules
     /// events, so a journaled run is bit-identical to an unjournaled one.
@@ -519,7 +521,7 @@ impl<'a> Engine<'a> {
             cluster_profile: config
                 .observe
                 .profile
-                .then(|| Box::new(crate::trace::PhaseProfile::default())),
+                .then(|| Box::new(PhaseSampler::default())),
             journal: config.observe.timeline.then(|| Box::new(Journal::new())),
             last_price: f64::NAN,
         }
@@ -549,7 +551,7 @@ impl<'a> Engine<'a> {
 
     /// The driver's cluster-phase profile (None unless `observe.profile`).
     pub(crate) fn take_cluster_profile(&mut self) -> Option<crate::trace::PhaseProfile> {
-        self.cluster_profile.take().map(|b| *b)
+        self.cluster_profile.take().map(|p| p.profile())
     }
 
     pub(crate) fn rebalances(&self) -> u64 {
@@ -795,10 +797,8 @@ impl<'a> Engine<'a> {
                             break;
                         }
                         let Reverse((_, _, event)) = self.cluster.pop().expect("peeked above");
-                        let phase_start = self
-                            .cluster_profile
-                            .as_ref()
-                            .map(|_| std::time::Instant::now());
+                        let stamp = self.cluster_profile.is_some().then(Stamp::now);
+                        let mut swap_lane = None;
                         match event {
                             ClusterEvent::Rebalance => {
                                 self.cluster_events += 1;
@@ -832,22 +832,33 @@ impl<'a> Engine<'a> {
                                     self.cluster_events += 1;
                                 } else {
                                     self.shards[o as usize].lane.events_processed += 1;
+                                    swap_lane = Some(o as usize);
                                 }
                                 self.kick(worker);
                             }
                         }
-                        if let Some(start) = phase_start {
-                            let dt = start.elapsed().as_secs_f64();
-                            let p = self.cluster_profile.as_mut().expect("profile on");
-                            match event {
-                                ClusterEvent::Rebalance => p.rebalance_s += dt,
+                        if let Some(stamp) = stamp {
+                            let (sampler, phase) = match event {
+                                ClusterEvent::Rebalance => {
+                                    (self.cluster_profile.as_deref_mut(), Phase::Rebalance)
+                                }
                                 ClusterEvent::ElasticTick | ClusterEvent::BootDone(_) => {
-                                    p.elastic_s += dt
+                                    (self.cluster_profile.as_deref_mut(), Phase::Elastic)
                                 }
                                 ClusterEvent::MarketTick | ClusterEvent::RevokeDeadline(_) => {
-                                    p.market_s += dt
+                                    (self.cluster_profile.as_deref_mut(), Phase::Market)
                                 }
-                                ClusterEvent::SwapDone(_) => p.swap_s += dt,
+                                // A swap on a worker a lane has claimed since
+                                // is that lane's event, so its profile counts
+                                // it; one on a free worker is no lane's event
+                                // and does no lane work, so it is not profiled.
+                                ClusterEvent::SwapDone(_) => (
+                                    swap_lane.and_then(|o| self.shards[o].profile.as_deref_mut()),
+                                    Phase::Swap,
+                                ),
+                            };
+                            if let Some(sampler) = sampler {
+                                sampler.record(phase, stamp);
                             }
                         }
                     }
@@ -927,7 +938,7 @@ impl<'a> Engine<'a> {
                     .tracer
                     .take()
                     .map(|t| crate::trace::TraceLog { roots: t.roots }),
-                profile: shard.profile.take().map(|b| *b),
+                profile: shard.profile.take().map(|p| p.profile()),
                 window: self
                     .config
                     .observe

@@ -64,7 +64,7 @@ pub use routing::{AliasTable, CompiledPlan, PlanBuilder};
 pub use slab::{Slab, SlotRef};
 pub use trace::{
     CriticalPath, Histogram, LatencyStats, ObserveConfig, PhaseProfile, RootTrace, Span, SpanKind,
-    TraceLog,
+    TraceLog, LANE_PHASES, PHASE_NAMES, SAMPLE_PERIOD,
 };
 pub use types::{
     AllocationPlan, BackupWorker, CompiledLinkDelays, Controller, DropPolicy, HopBudgets,

@@ -217,7 +217,7 @@ pub struct MultiSimResult {
     /// cost lives here and on the [`MultiSimResult::aggregate`] result, not
     /// on the per-pipeline ones).
     pub cost: Option<CostSummary>,
-    /// Cluster-driver self-profile (rebalance/elastic/market/swap phases) —
+    /// Cluster-driver self-profile (rebalance/elastic/market phases) —
     /// `Some` only when `observe.profile` was on. Per-lane dispatch phases
     /// live on the individual [`PipelineResult`]s; [`MultiSimResult::aggregate`]
     /// merges both into one profile.

@@ -31,6 +31,7 @@ use crate::calendar::CalendarQueue;
 use crate::engine::EngineError;
 use crate::routing::CompiledPlan;
 use crate::slab::{Slab, SlotRef};
+use crate::trace::{Phase, PhaseSampler, Stamp};
 use crate::types::{
     ms_to_us, secs_to_us, us_to_ms, AllocationPlan, BackupWorker, CompiledLinkDelays, Controller,
     DropPolicy, ObservedState, Query, SimConfig, SimTime, WorkerId, WorkerView,
@@ -47,16 +48,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Owner tag of a worker no lane currently holds (released by a rebalance and
 /// not yet re-granted).
 pub(crate) const FREE: u32 = u32::MAX;
-
-// Phase tags of the dispatch loop's self-profiler (indices into
-// [`crate::trace::PhaseProfile`]'s lane-side fields).
-const PHASE_ARRIVAL: u8 = 0;
-const PHASE_DELIVERY: u8 = 1;
-const PHASE_BATCH: u8 = 2;
-const PHASE_CONTROL: u8 = 3;
-const PHASE_ROUTING: u8 = 4;
-const PHASE_METRICS: u8 = 5;
-const PHASE_SWAP: u8 = 6;
 
 /// The shared worker fleet. Interior mutability with *external* synchronization:
 /// see the module docs for the aliasing contract that makes the unsafe `Sync`
@@ -129,6 +120,36 @@ pub(crate) enum LaneEvent {
     MetricsTick,
     SwapDone(WorkerId),
     Delivery { worker: WorkerId, query: Query },
+}
+
+/// The event a shard's dispatch loop took from whichever of its three
+/// sources was due first.
+enum Next {
+    Arrival(usize),
+    Batch(WorkerId),
+    Lane(LaneEvent),
+}
+
+impl Next {
+    /// The profiler phase of this event. `None` for a swap finishing on a
+    /// worker no lane owns: that is no lane's event (it is not in
+    /// `events_processed`), so the lane profile does not count it.
+    fn phase(&self, ctx: &LaneCtx<'_>) -> Option<Phase> {
+        Some(match self {
+            Next::Arrival(_) => Phase::Arrival,
+            Next::Batch(_) => Phase::Batch,
+            Next::Lane(LaneEvent::SwapDone(worker)) => {
+                if ctx.owner[worker.index()].load(Ordering::Relaxed) == FREE {
+                    return None;
+                }
+                Phase::Swap
+            }
+            Next::Lane(LaneEvent::ControlTick) => Phase::Control,
+            Next::Lane(LaneEvent::RoutingTick) => Phase::Routing,
+            Next::Lane(LaneEvent::MetricsTick) => Phase::Metrics,
+            Next::Lane(LaneEvent::Delivery { .. }) => Phase::Delivery,
+        })
+    }
 }
 
 /// Why a root (or one of its branches) was dropped. The *first* cause sticks:
@@ -402,9 +423,9 @@ pub(crate) struct Shard<'a> {
     /// worker threads than lanes this overstates waiting, since queued shards
     /// also accrue the gap).
     pub(crate) barrier_wait_s: f64,
-    /// Per-phase wall-clock attribution of this shard's dispatch loop
+    /// Per-phase host-time sampler of this shard's dispatch loop
     /// (`observe.profile`; `None` means no timer calls at all).
-    pub(crate) profile: Option<Box<crate::trace::PhaseProfile>>,
+    pub(crate) profile: Option<Box<PhaseSampler>>,
 }
 
 impl<'a> Shard<'a> {
@@ -436,7 +457,7 @@ impl<'a> Shard<'a> {
             profile: config
                 .observe
                 .profile
-                .then(|| Box::new(crate::trace::PhaseProfile::default())),
+                .then(|| Box::new(PhaseSampler::default())),
         };
         shard.push(0, LaneEvent::ControlTick);
         shard.push(0, LaneEvent::RoutingTick);
@@ -487,6 +508,8 @@ impl<'a> Shard<'a> {
             Arrival,
             Batch,
         }
+        // The profiler's running sample and the phase it times.
+        let mut timer: Option<(Phase, Stamp)> = None;
         loop {
             let mut best: Option<(SimTime, u64, Source)> =
                 self.events.peek().map(|(t, s)| (t, s, Source::Scheduler));
@@ -507,12 +530,7 @@ impl<'a> Shard<'a> {
                 break;
             }
             self.now = time;
-            // Self-profiling: two `Instant::now` calls per event, only when
-            // `observe.profile` is on (`phase_start` is `None` otherwise and
-            // the hot loop pays a single branch).
-            let phase_start = self.profile.as_ref().map(|_| std::time::Instant::now());
-            let mut phase = PHASE_ARRIVAL;
-            match source {
+            let next = match source {
                 Source::Arrival => {
                     self.lane.events_processed += 1;
                     let (_, _, idx) =
@@ -524,23 +542,18 @@ impl<'a> Shard<'a> {
                                 now_us: time,
                                 events_processed: self.lane.events_processed,
                             })?;
-                    self.on_arrival(ctx, idx)?;
+                    Next::Arrival(idx)
                 }
-                Source::Batch => {
-                    phase = PHASE_BATCH;
-                    let worker = match self.batch_completions.pop() {
-                        Some(std::cmp::Reverse((_, _, worker))) => worker,
-                        None => {
-                            return Err(EngineError::EmptyEventSource {
-                                source: "batch",
-                                now_us: time,
-                                events_processed: self.lane.events_processed,
-                            })
-                        }
-                    };
-                    self.lane.events_processed += 1;
-                    self.on_batch_done(ctx, worker)?;
-                }
+                Source::Batch => match self.batch_completions.pop() {
+                    Some(std::cmp::Reverse((_, _, worker))) => Next::Batch(worker),
+                    None => {
+                        return Err(EngineError::EmptyEventSource {
+                            source: "batch",
+                            now_us: time,
+                            events_processed: self.lane.events_processed,
+                        })
+                    }
+                },
                 Source::Scheduler => {
                     let (_, _, payload) =
                         self.events.pop().ok_or(EngineError::EmptyEventSource {
@@ -548,58 +561,64 @@ impl<'a> Shard<'a> {
                             now_us: time,
                             events_processed: self.lane.events_processed,
                         })?;
-                    match payload {
-                        LaneEvent::SwapDone(worker) => {
-                            phase = PHASE_SWAP;
-                            // The worker may have left the lane since the swap
-                            // was scheduled (migrated or retired): only the
-                            // current owner may batch on it.
-                            let owner = ctx.owner[worker.index()].load(Ordering::Relaxed);
-                            if owner == FREE {
-                                self.unowned_events += 1;
-                            } else {
-                                self.lane.events_processed += 1;
-                                if owner == self.li {
-                                    self.kick(ctx, worker);
-                                }
-                            }
-                        }
-                        LaneEvent::ControlTick => {
-                            phase = PHASE_CONTROL;
-                            self.lane.events_processed += 1;
-                            self.on_control_tick(ctx, controller)?;
-                        }
-                        LaneEvent::RoutingTick => {
-                            phase = PHASE_ROUTING;
-                            self.lane.events_processed += 1;
-                            self.on_routing_tick(ctx, controller);
-                        }
-                        LaneEvent::MetricsTick => {
-                            phase = PHASE_METRICS;
-                            self.lane.events_processed += 1;
-                            self.on_metrics_tick(ctx);
-                        }
-                        LaneEvent::Delivery { worker, query } => {
-                            phase = PHASE_DELIVERY;
-                            self.lane.events_processed += 1;
-                            self.on_delivered(ctx, query, worker)?;
+                    Next::Lane(payload)
+                }
+            };
+            // Self-profiling, only when `observe.profile` is on (`None`
+            // otherwise, and the hot loop pays a single branch). A timed
+            // event's sample runs from here to the same point of the next
+            // iteration, so samples tile the loop: the source selection and
+            // pop are charged to the event before. The phase is known before
+            // the sample starts, so the sampler can time every rare event and
+            // one frequent event in `SAMPLE_PERIOD`.
+            if let Some(sampler) = self.profile.as_deref_mut() {
+                if let Some((phase, stamp)) = timer.take() {
+                    sampler.end(phase, stamp);
+                }
+                timer = next
+                    .phase(ctx)
+                    .and_then(|phase| Some((phase, sampler.begin(phase)?)));
+            }
+            match next {
+                Next::Arrival(idx) => self.on_arrival(ctx, idx)?,
+                Next::Batch(worker) => {
+                    self.lane.events_processed += 1;
+                    self.on_batch_done(ctx, worker)?;
+                }
+                Next::Lane(LaneEvent::SwapDone(worker)) => {
+                    // The worker may have left the lane since the swap was
+                    // scheduled (migrated or retired): only the current owner
+                    // may batch on it.
+                    let owner = ctx.owner[worker.index()].load(Ordering::Relaxed);
+                    if owner == FREE {
+                        self.unowned_events += 1;
+                    } else {
+                        self.lane.events_processed += 1;
+                        if owner == self.li {
+                            self.kick(ctx, worker);
                         }
                     }
                 }
+                Next::Lane(LaneEvent::ControlTick) => {
+                    self.lane.events_processed += 1;
+                    self.on_control_tick(ctx, controller)?;
+                }
+                Next::Lane(LaneEvent::RoutingTick) => {
+                    self.lane.events_processed += 1;
+                    self.on_routing_tick(ctx, controller);
+                }
+                Next::Lane(LaneEvent::MetricsTick) => {
+                    self.lane.events_processed += 1;
+                    self.on_metrics_tick(ctx);
+                }
+                Next::Lane(LaneEvent::Delivery { worker, query }) => {
+                    self.lane.events_processed += 1;
+                    self.on_delivered(ctx, query, worker)?;
+                }
             }
-            if let Some(start) = phase_start {
-                let dt = start.elapsed().as_secs_f64();
-                let p = self.profile.as_mut().expect("profile on when timing");
-                *match phase {
-                    PHASE_ARRIVAL => &mut p.arrival_s,
-                    PHASE_DELIVERY => &mut p.delivery_s,
-                    PHASE_BATCH => &mut p.batch_s,
-                    PHASE_CONTROL => &mut p.control_s,
-                    PHASE_ROUTING => &mut p.routing_s,
-                    PHASE_METRICS => &mut p.metrics_s,
-                    _ => &mut p.swap_s,
-                } += dt;
-            }
+        }
+        if let (Some(sampler), Some((phase, stamp))) = (self.profile.as_deref_mut(), timer) {
+            sampler.end(phase, stamp);
         }
         self.epoch_wall_s = started.elapsed().as_secs_f64();
         self.wall_s += self.epoch_wall_s;

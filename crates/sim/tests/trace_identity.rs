@@ -11,12 +11,17 @@
 //! 3. `critical_path_is_bounded_by_measured_latency`: for every sampled root,
 //!    `critical_path().total_us <= latency_us()` and the per-kind components
 //!    sum to no more than the total.
+//! 4. `profile_counts_are_exact_and_deterministic`: the phase profiler's event
+//!    counts sum to each lane's `events_processed` and repeat exactly across
+//!    runs and `jobs` values; the rare phases time every event and the
+//!    frequent ones one in `SAMPLE_PERIOD`.
 
 use loki_pipeline::{zoo, PipelineGraph, VariantId};
 use loki_sim::{
     apportion, AllocationPlan, ArbiterObservation, CompiledPlan, Controller, DropPolicy,
     InstanceSpec, MultiPipeline, MultiSimConfig, MultiSimResult, MultiSimulation, ObserveConfig,
-    ObservedState, ResourceArbiter, RoutingPlan, SimConfig,
+    ObservedState, ResourceArbiter, RoutingPlan, SimConfig, LANE_PHASES, PHASE_NAMES,
+    SAMPLE_PERIOD,
 };
 use loki_workload::{generate_arrivals, generators, ArrivalProcess};
 use std::collections::HashMap;
@@ -304,4 +309,89 @@ fn critical_path_is_bounded_by_measured_latency() {
         checked > 10,
         "expected a meaningful trace corpus, got {checked}"
     );
+}
+
+/// Index of a phase in [`PHASE_NAMES`] order.
+fn phase(name: &str) -> usize {
+    PHASE_NAMES
+        .iter()
+        .position(|&n| n == name)
+        .expect("known phase")
+}
+
+/// Per-lane phase event counts of a run.
+fn lane_phase_events(run: &MultiSimResult) -> Vec<[u64; PHASE_NAMES.len()]> {
+    run.pipelines
+        .iter()
+        .map(|lane| lane.result.profile.expect("lane profile").events)
+        .collect()
+}
+
+#[test]
+fn profile_counts_are_exact_and_deterministic() {
+    let seed = 42;
+    let reference = four_lane_run(seed, 1, dense_tracing());
+    let mut swaps = 0;
+    for lane in &reference.pipelines {
+        let p = lane.result.profile.expect("lane profile");
+        assert_eq!(
+            p.events[..LANE_PHASES].iter().sum::<u64>(),
+            lane.result.summary.events_processed,
+            "lane {}: phase counts must sum to events_processed",
+            lane.name
+        );
+        for (i, name) in PHASE_NAMES.iter().enumerate() {
+            let expected = match *name {
+                "arrival" | "delivery" | "batch" => p.events[i].div_ceil(SAMPLE_PERIOD),
+                _ => p.events[i],
+            };
+            assert_eq!(p.timed[i], expected, "lane {}: timed {name}", lane.name);
+            assert!(
+                p.seconds()[i].is_finite() && p.seconds()[i] >= 0.0,
+                "lane {}: {name} seconds",
+                lane.name
+            );
+        }
+        // Cluster phases run on the driver, never in a lane.
+        assert_eq!(p.events[LANE_PHASES..].iter().sum::<u64>(), 0);
+        swaps += p.events[phase("swap")];
+    }
+    assert!(swaps > 0, "the seesaw arbiter must make lanes swap models");
+    // The driver profiles only the cluster phases; the aggregate adds the
+    // lanes' counts to them.
+    let cluster = reference.profile.expect("driver profile");
+    assert_eq!(cluster.events[..LANE_PHASES].iter().sum::<u64>(), 0);
+    assert!(
+        cluster.events[phase("rebalance")] > 0,
+        "rebalances are profiled on the driver"
+    );
+    let aggregate = reference.aggregate(16).profile.expect("aggregate profile");
+    assert_eq!(
+        aggregate.events[..LANE_PHASES].iter().sum::<u64>(),
+        reference
+            .pipelines
+            .iter()
+            .map(|lane| lane.result.summary.events_processed)
+            .sum::<u64>(),
+        "the aggregate adds the lanes' counts"
+    );
+    assert_eq!(
+        aggregate.events[LANE_PHASES..],
+        cluster.events[LANE_PHASES..]
+    );
+
+    let expected = lane_phase_events(&reference);
+    for jobs in [1, 2, 4] {
+        let run = four_lane_run(seed, jobs, dense_tracing());
+        assert_eq!(
+            lane_phase_events(&run),
+            expected,
+            "jobs {jobs}: phase counts"
+        );
+        assert_eq!(
+            run.profile.expect("driver profile").events,
+            cluster.events,
+            "jobs {jobs}: driver phase counts"
+        );
+    }
 }
