@@ -22,6 +22,39 @@ pub struct PerfModel<'a> {
     slo_divisor: f64,
     /// Per-hop one-way network latency budgets, charged once per hop on a path.
     budgets: HopBudgets,
+    /// Every root-to-sink task path with its latency allowances, enumerated
+    /// once at construction so feasibility checks allocate nothing.
+    paths: Vec<PathCost>,
+}
+
+/// One root-to-sink task path with its network charge already subtracted
+/// from the SLO.
+#[derive(Debug, Clone)]
+struct PathCost {
+    /// Task ids from root to sink.
+    tasks: Vec<TaskId>,
+    /// `slo − path_comm_ms`: the whole SLO left after the path's network hops.
+    slo_after_comm_ms: f64,
+    /// `slo / divisor − path_comm_ms`: the path's processing-latency budget.
+    exec_budget_ms: f64,
+}
+
+/// The effective fan-out from `variant` to `child` task: the observed value if the
+/// controller has heartbeat data, otherwise the profiled multiplicative factor
+/// times the edge's branch ratio.
+pub fn fanout(
+    graph: &PipelineGraph,
+    variant: VariantId,
+    child: TaskId,
+    overrides: &FanoutOverrides,
+) -> f64 {
+    if let Some(&v) = overrides.get(&(variant, child.index())) {
+        return v;
+    }
+    let ratio = graph
+        .branch_ratio(TaskId(variant.task), child)
+        .unwrap_or(0.0);
+    graph.variant(variant).mult_factor * ratio
 }
 
 /// The provisioning implied by choosing one specific model variant per task.
@@ -60,11 +93,25 @@ impl<'a> PerfModel<'a> {
     /// charged the cluster's worst-case hop.
     pub fn with_budgets(graph: &'a PipelineGraph, slo_divisor: f64, budgets: HopBudgets) -> Self {
         assert!(slo_divisor >= 1.0, "the SLO divisor must be at least 1");
-        Self {
+        let mut model = Self {
             graph,
             slo_divisor,
             budgets,
-        }
+            paths: Vec::new(),
+        };
+        model.paths = graph
+            .task_paths()
+            .into_iter()
+            .map(|p| {
+                let comm_ms = model.path_comm_ms(&p.tasks);
+                PathCost {
+                    tasks: p.tasks,
+                    slo_after_comm_ms: graph.slo_ms() - comm_ms,
+                    exec_budget_ms: graph.slo_ms() / slo_divisor - comm_ms,
+                }
+            })
+            .collect();
+        model
     }
 
     /// The underlying pipeline graph.
@@ -96,20 +143,6 @@ impl<'a> PerfModel<'a> {
         self.graph.slo_ms() / self.slo_divisor - self.budgets.worst_path_comm_ms(num_tasks)
     }
 
-    /// The effective fan-out from `variant` to `child` task: the observed value if the
-    /// controller has heartbeat data, otherwise the profiled multiplicative factor
-    /// times the edge's branch ratio.
-    pub fn fanout(&self, variant: VariantId, child: TaskId, overrides: &FanoutOverrides) -> f64 {
-        if let Some(&v) = overrides.get(&(variant, child.index())) {
-            return v;
-        }
-        let ratio = self
-            .graph
-            .branch_ratio(TaskId(variant.task), child)
-            .unwrap_or(0.0);
-        self.graph.variant(variant).mult_factor * ratio
-    }
-
     /// Demand (QPS) arriving at each task when the root receives `demand` QPS and each
     /// task uses the variant given by `choice` (the workload-multiplication model of
     /// Section 2.2.1).
@@ -128,7 +161,7 @@ impl<'a> PerfModel<'a> {
             let incoming = demands[t];
             for edge in &self.graph.task(task_id).children {
                 demands[edge.child.index()] +=
-                    incoming * self.fanout(variant, edge.child, overrides);
+                    incoming * fanout(self.graph, variant, edge.child, overrides);
             }
         }
         demands
@@ -136,8 +169,8 @@ impl<'a> PerfModel<'a> {
 
     /// End-to-end accuracy of a per-task variant choice.
     pub fn choice_accuracy(&self, choice: &[usize]) -> f64 {
-        let paths = self.graph.task_paths();
-        let total: f64 = paths
+        let total: f64 = self
+            .paths
             .iter()
             .map(|p| {
                 p.tasks
@@ -146,14 +179,13 @@ impl<'a> PerfModel<'a> {
                     .product::<f64>()
             })
             .sum();
-        total / paths.len() as f64
+        total / self.paths.len() as f64
     }
 
     /// True if the given per-task batch sizes keep the processing latency of every
     /// root-to-sink path within its budget.
     pub fn batches_fit(&self, choice: &[usize], batches: &[BatchSize]) -> bool {
-        for path in self.graph.task_paths() {
-            let budget = self.graph.slo_ms() / self.slo_divisor - self.path_comm_ms(&path.tasks);
+        for path in &self.paths {
             let total: f64 = path
                 .tasks
                 .iter()
@@ -162,7 +194,7 @@ impl<'a> PerfModel<'a> {
                     self.graph.task(t).variants[choice[i]].batch_latency_ms(batches[i])
                 })
                 .sum();
-            if total > budget + 1e-9 {
+            if total > path.exec_budget_ms + 1e-9 {
                 return false;
             }
         }
@@ -185,7 +217,7 @@ impl<'a> PerfModel<'a> {
     ) -> Option<ChoicePlan> {
         let n = self.graph.num_tasks();
         assert_eq!(choice.len(), n);
-        let allowed = self.graph.batch_sizes().to_vec();
+        let allowed = self.graph.batch_sizes();
         let min_batch = *allowed.iter().min().expect("batch size set is non-empty");
         let mut batches = vec![min_batch; n];
         if !self.batches_fit(choice, &batches) {
@@ -193,45 +225,44 @@ impl<'a> PerfModel<'a> {
         }
         let demands = self.task_demands(choice, demand, overrides);
 
-        let replicas_for = |batches: &[BatchSize]| -> Vec<usize> {
-            (0..n)
-                .map(|t| {
-                    if demands[t] <= 1e-9 {
-                        0
-                    } else {
-                        let q = self.graph.task(TaskId(t)).variants[choice[t]]
-                            .throughput_qps(batches[t]);
-                        (demands[t] / q).ceil().max(1.0) as usize
-                    }
-                })
-                .collect()
+        // Replicas task `t` needs at batch size `batch`.
+        let replicas_at = |t: usize, batch: BatchSize| -> usize {
+            if demands[t] <= 1e-9 {
+                0
+            } else {
+                let q = self.graph.task(TaskId(t)).variants[choice[t]].throughput_qps(batch);
+                (demands[t] / q).ceil().max(1.0) as usize
+            }
         };
 
-        let mut replicas = replicas_for(&batches);
+        let mut replicas: Vec<usize> = (0..n).map(|t| replicas_at(t, batches[t])).collect();
         // Greedy batch enlargement: at each step apply the single-task batch increase
         // (to any larger allowed size) that reduces the total server count the most,
-        // while keeping every path within its latency budget.
+        // while keeping every path within its latency budget. A candidate changes
+        // one task's batch, so it is checked in place and only that task's replica
+        // count is recomputed.
         loop {
             let total: usize = replicas.iter().sum();
-            let mut best: Option<(usize, BatchSize, Vec<usize>, usize)> = None;
+            let mut best: Option<(usize, BatchSize, usize)> = None;
             for t in 0..n {
-                for &cand_batch in allowed.iter().filter(|&&b| b > batches[t]) {
-                    let mut cand = batches.clone();
-                    cand[t] = cand_batch;
-                    if !self.batches_fit(choice, &cand) {
+                let current = batches[t];
+                for &cand_batch in allowed.iter().filter(|&&b| b > current) {
+                    batches[t] = cand_batch;
+                    let fits = self.batches_fit(choice, &batches);
+                    batches[t] = current;
+                    if !fits {
                         continue;
                     }
-                    let cand_replicas = replicas_for(&cand);
-                    let cand_total: usize = cand_replicas.iter().sum();
-                    if cand_total < total && best.as_ref().is_none_or(|b| cand_total < b.3) {
-                        best = Some((t, cand_batch, cand_replicas, cand_total));
+                    let cand_total = total - replicas[t] + replicas_at(t, cand_batch);
+                    if cand_total < total && best.is_none_or(|b| cand_total < b.2) {
+                        best = Some((t, cand_batch, cand_total));
                     }
                 }
             }
             match best {
-                Some((t, b, new_replicas, _)) => {
+                Some((t, b, _)) => {
                     batches[t] = b;
-                    replicas = new_replicas;
+                    replicas[t] = replicas_at(t, b);
                 }
                 None => break,
             }
@@ -264,13 +295,10 @@ impl<'a> PerfModel<'a> {
         // tightest share always comes from the longest path, matching the historical
         // worst-case-length formula exactly.)
         let share = self
-            .graph
-            .task_paths()
+            .paths
             .iter()
             .filter(|p| p.tasks.iter().any(|t| t.index() == variant.task))
-            .map(|p| {
-                (self.graph.slo_ms() - self.path_comm_ms(&p.tasks)).max(exec) / p.tasks.len() as f64
-            })
+            .map(|p| p.slo_after_comm_ms.max(exec) / p.tasks.len() as f64)
             .min_by(f64::total_cmp)
             .unwrap_or_else(|| {
                 (self.graph.slo_ms() - self.budgets.worst_path_comm_ms(1)).max(exec)
@@ -283,7 +311,7 @@ impl<'a> PerfModel<'a> {
     /// bigger batches are always better).
     pub fn max_batches_for_choice(&self, choice: &[usize]) -> Option<Vec<BatchSize>> {
         let n = self.graph.num_tasks();
-        let allowed = self.graph.batch_sizes().to_vec();
+        let allowed = self.graph.batch_sizes();
         let min_batch = *allowed.iter().min().unwrap();
         let mut batches = vec![min_batch; n];
         if !self.batches_fit(choice, &batches) {
@@ -293,13 +321,14 @@ impl<'a> PerfModel<'a> {
         loop {
             let mut changed = false;
             for t in 0..n {
-                let next = allowed.iter().copied().filter(|&b| b > batches[t]).min();
+                let current = batches[t];
+                let next = allowed.iter().copied().filter(|&b| b > current).min();
                 if let Some(next) = next {
-                    let mut cand = batches.clone();
-                    cand[t] = next;
-                    if self.batches_fit(choice, &cand) {
-                        batches[t] = next;
+                    batches[t] = next;
+                    if self.batches_fit(choice, &batches) {
                         changed = true;
+                    } else {
+                        batches[t] = current;
                     }
                 }
             }

@@ -37,7 +37,8 @@
 //! calendar-queue scheduler with O(1) amortized insert/pop, compiled per-link
 //! delay tables, dense observability counters, Vose alias tables for O(1)
 //! weighted routing (epoch-guarded against staleness), and reused scratch
-//! buffers. Trace arrivals come from sorted per-lane arrays behind cursors;
+//! buffers. Trace arrivals come from the caller's per-lane arrays, borrowed
+//! (never copied) and validated once at construction, behind cursors;
 //! batch completions (at most one per worker) live in per-lane min-heaps. Each
 //! shard's dispatch loop merges its three sources by `(time, seq)`, exactly the
 //! order a single heap would produce.
@@ -124,6 +125,15 @@ pub enum EngineError {
         /// Simulated time at the failure, µs.
         now_us: SimTime,
     },
+    /// A lane's arrival trace holds a time that is not finite, is negative,
+    /// or is earlier than the one before it. Checked once when the run is
+    /// built, before any event is processed.
+    InvalidArrivals {
+        /// The lane (pipeline registration index; 0 for a single pipeline).
+        lane: usize,
+        /// Index of the first offending arrival in that lane's trace.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -143,6 +153,12 @@ impl std::fmt::Display for EngineError {
                 f,
                 "engine invariant violated: root state missing in the {context} \
                  handler while sub-queries were outstanding (now = {now_us} us)"
+            ),
+            EngineError::InvalidArrivals { lane, index } => write!(
+                f,
+                "invalid arrivals: lane {lane} index {index} is not finite, is negative, \
+                 or is earlier than the arrival before it (arrival times must be \
+                 finite, non-negative and non-decreasing)"
             ),
         }
     }
@@ -190,17 +206,20 @@ impl<'a, C: Controller> Simulation<'a, C> {
         }
     }
 
-    /// Run the simulation over a list of root-query arrival times (seconds, ascending).
+    /// Run the simulation over a list of root-query arrival times in seconds,
+    /// which must be finite, non-negative and non-decreasing.
     ///
-    /// Panics (with the rendered [`EngineError`]) on an engine invariant
-    /// violation; use [`Simulation::try_run`] to handle that as a value.
+    /// Panics (with the rendered [`EngineError`]) on invalid arrivals or an
+    /// engine invariant violation; use [`Simulation::try_run`] to handle that
+    /// as a value.
     pub fn run(&mut self, arrivals_s: &[f64]) -> SimResult {
         self.try_run(arrivals_s)
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Like [`Simulation::run`], but surfaces engine invariant violations as a
-    /// structured [`EngineError`] instead of panicking.
+    /// Like [`Simulation::run`], but surfaces invalid arrivals and engine
+    /// invariant violations as a structured [`EngineError`] instead of
+    /// panicking.
     ///
     /// With [`SimConfig::elastic`] set, the fleet is built from the elastic
     /// initial spec and billed, but no scaling policy runs (a static fleet);
@@ -216,8 +235,8 @@ impl<'a, C: Controller> Simulation<'a, C> {
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Like [`Simulation::run_elastic`], but surfaces engine invariant
-    /// violations as a structured [`EngineError`].
+    /// Like [`Simulation::run_elastic`], but surfaces invalid arrivals and
+    /// engine invariant violations as a structured [`EngineError`].
     pub fn try_run_elastic(
         &mut self,
         arrivals_s: &[f64],
@@ -240,7 +259,7 @@ impl<'a, C: Controller> Simulation<'a, C> {
             arrivals_s,
             initial_demand_hint: self.config.initial_demand_hint,
         };
-        let mut engine = Engine::new(&self.config, vec![lane]);
+        let mut engine = Engine::new(&self.config, vec![lane])?;
         let mut controllers: [&mut dyn Controller; 1] = [&mut self.controller];
         let mut results = engine.run(&mut controllers, None, policy, 1)?;
         let mut result = results.pop().expect("single-lane run yields one result");
@@ -429,13 +448,34 @@ struct MarketState {
     deadline_us: SimTime,
 }
 
+/// Index of the first arrival that is not finite, is negative, or is earlier
+/// than its predecessor (`None` for a valid trace).
+fn first_invalid_arrival(arrivals_s: &[f64]) -> Option<usize> {
+    let mut prev = 0.0;
+    arrivals_s.iter().position(|&s| {
+        let invalid = !(s.is_finite() && s >= prev);
+        prev = s;
+        invalid
+    })
+}
+
 impl<'a> Engine<'a> {
-    pub(crate) fn new(config: &'a SimConfig, inputs: Vec<LaneInput<'a>>) -> Self {
+    /// Build the engine over one input per lane, rejecting an invalid arrival
+    /// trace before anything runs.
+    pub(crate) fn new(
+        config: &'a SimConfig,
+        inputs: Vec<LaneInput<'a>>,
+    ) -> Result<Self, EngineError> {
         assert!(!inputs.is_empty(), "engine needs at least one pipeline");
         assert!(
             inputs.len() < FREE as usize,
             "lane count fits the owner tag"
         );
+        for (lane, input) in inputs.iter().enumerate() {
+            if let Some(index) = first_invalid_arrival(input.arrivals_s) {
+                return Err(EngineError::InvalidArrivals { lane, index });
+            }
+        }
         // Elastic fleets can grow to `max_fleet`; compile the link tables for
         // that capacity so provisioned workers index them safely.
         let fleet_cap = config
@@ -450,7 +490,7 @@ impl<'a> Engine<'a> {
             .collect();
         let end_time_us = lanes
             .iter()
-            .map(|l| l.arrivals_us.last().copied().unwrap_or(0) + secs_to_us(config.drain_s))
+            .map(|l| l.arrivals_s.last().map_or(0, |&s| secs_to_us(s)) + secs_to_us(config.drain_s))
             .max()
             .expect("at least one lane");
         // Fixed fleets are `cluster_size` identical reference-class workers;
@@ -502,7 +542,7 @@ impl<'a> Engine<'a> {
             .enumerate()
             .map(|(i, lane)| Shard::new(lane, i as u32, config, shift, num_buckets))
             .collect();
-        Self {
+        Ok(Self {
             config,
             shards,
             end_time_us,
@@ -524,7 +564,7 @@ impl<'a> Engine<'a> {
                 .then(|| Box::new(PhaseSampler::default())),
             journal: config.observe.timeline.then(|| Box::new(Journal::new())),
             last_price: f64::NAN,
-        }
+        })
     }
 
     /// Append one cluster-journal event at driver time (no-op with the
@@ -2117,6 +2157,53 @@ mod tests {
         .to_string();
         assert!(rendered.contains("complete"), "{rendered}");
         assert!(rendered.contains("77"), "{rendered}");
+    }
+
+    #[test]
+    fn invalid_arrival_traces_are_rejected_before_the_run() {
+        let graph = zoo::tiny_pipeline(200.0);
+        let run = |arrivals: &[f64]| {
+            Simulation::new(
+                &graph,
+                small_config(4),
+                StaticController::new(tiny_plan(1, 1, 4)),
+            )
+            .try_run(arrivals)
+            .map(|r| r.summary.total_arrivals)
+        };
+        let invalid = |index| Err(EngineError::InvalidArrivals { lane: 0, index });
+        // Each trace is rejected at its first offending index, before any
+        // event runs.
+        let reversed: Vec<f64> = (0..50).rev().map(|i| i as f64 * 0.1).collect();
+        assert_eq!(run(&reversed), invalid(1));
+        assert_eq!(run(&[0.5, f64::NAN, 1.0]), invalid(1));
+        assert_eq!(run(&[-0.25, 0.5]), invalid(0));
+        assert_eq!(run(&[0.5, 1.0, f64::INFINITY]), invalid(2));
+        // Ties, a zero time and an empty trace are valid.
+        assert_eq!(run(&[0.0, 0.5, 0.5, 1.0]), Ok(4));
+        assert_eq!(run(&[]), Ok(0));
+
+        let rendered = EngineError::InvalidArrivals { lane: 3, index: 17 }.to_string();
+        assert!(rendered.contains("lane 3 index 17"), "{rendered}");
+
+        // Multi-pipeline runs name the offending lane.
+        let mut multi = crate::MultiSimulation::new(small_config(4));
+        for arrivals in [vec![0.1, 0.2], vec![0.3, 0.2]] {
+            multi.add_pipeline(crate::MultiPipeline {
+                name: "p".to_string(),
+                graph: &graph,
+                controller: StaticController::new(tiny_plan(1, 1, 4)),
+                arrivals_s: arrivals,
+                initial_demand_hint: None,
+            });
+        }
+        let error = multi
+            .try_run(&mut crate::multi::StaticPartition::even(2))
+            .map(|r| r.pipelines.len());
+        assert_eq!(
+            error,
+            Err(EngineError::InvalidArrivals { lane: 1, index: 1 })
+        );
     }
 
     #[test]

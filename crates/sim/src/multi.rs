@@ -173,7 +173,10 @@ pub struct MultiPipeline<'a, C: Controller + 'a = Box<dyn Controller + 'a>> {
     /// The pipeline's serving controller (it only ever sees the pipeline's
     /// partition of the cluster).
     pub controller: C,
-    /// Root-query arrival times in seconds, ascending.
+    /// Root-query arrival times in seconds: finite, non-negative and
+    /// non-decreasing (a run rejects any other trace with
+    /// [`EngineError::InvalidArrivals`]). The engine borrows this trace; it
+    /// never copies it.
     pub arrivals_s: Vec<f64>,
     /// Demand hint handed to the controller at its first control tick and to
     /// the arbiter for the initial partition.
@@ -399,15 +402,15 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
     }
 
     /// Run to completion under `arbiter`. Panics (with the rendered
-    /// [`EngineError`]) on an engine invariant violation; use
-    /// [`MultiSimulation::try_run`] to handle that as a value.
+    /// [`EngineError`]) on invalid arrivals or an engine invariant violation;
+    /// use [`MultiSimulation::try_run`] to handle that as a value.
     pub fn run(&mut self, arbiter: &mut dyn ResourceArbiter) -> MultiSimResult {
         self.try_run(arbiter)
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Like [`MultiSimulation::run`], but surfaces engine invariant violations
-    /// as a structured [`EngineError`].
+    /// Like [`MultiSimulation::run`], but surfaces invalid arrivals and engine
+    /// invariant violations as a structured [`EngineError`].
     pub fn try_run(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
@@ -428,8 +431,8 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Like [`MultiSimulation::run_elastic`], but surfaces engine invariant
-    /// violations as a structured [`EngineError`].
+    /// Like [`MultiSimulation::run_elastic`], but surfaces invalid arrivals
+    /// and engine invariant violations as a structured [`EngineError`].
     pub fn try_run_elastic(
         &mut self,
         arbiter: &mut dyn ResourceArbiter,
@@ -463,7 +466,7 @@ impl<'a, C: Controller + 'a> MultiSimulation<'a, C> {
             controllers.push(&mut pipeline.controller);
             names.push(pipeline.name.clone());
         }
-        let mut engine = Engine::new(&self.config.sim, inputs);
+        let mut engine = Engine::new(&self.config.sim, inputs)?;
         let results = engine.run(&mut controllers, Some(arbiter), policy, self.config.jobs)?;
         let timings = engine.lane_timings();
         Ok(MultiSimResult {

@@ -195,7 +195,10 @@ pub(crate) struct LaneInput<'a> {
 /// engine and is per-lane now that one run serves several pipelines.
 pub(crate) struct LaneState<'a> {
     pub(crate) graph: &'a PipelineGraph,
-    pub(crate) arrivals_us: Vec<SimTime>,
+    /// The caller's arrival trace in seconds, borrowed (validated finite,
+    /// non-negative and non-decreasing by `Engine::new`); each time converts
+    /// to µs when the cursor reaches it.
+    pub(crate) arrivals_s: &'a [f64],
     /// The next trace arrival of this lane: `(time, seq, index)`.
     pub(crate) next_arrival: Option<(SimTime, u64, usize)>,
 
@@ -277,7 +280,6 @@ impl<'a> LaneState<'a> {
     ) -> Self {
         let graph = input.graph;
         graph.validate().expect("pipeline graph must be valid");
-        let arrivals_us: Vec<SimTime> = input.arrivals_s.iter().map(|&s| secs_to_us(s)).collect();
         let num_tasks = graph.num_tasks();
         let mut variant_offset = Vec::with_capacity(num_tasks);
         let mut variant_ids = Vec::new();
@@ -292,7 +294,7 @@ impl<'a> LaneState<'a> {
         let total_variants = variant_ids.len();
         Self {
             graph,
-            arrivals_us,
+            arrivals_s: input.arrivals_s,
             next_arrival: None,
             // The default plan has epoch 0 and every table empty; with
             // `assignments_epoch` starting at 1 it reads as stale, so the
@@ -465,9 +467,9 @@ impl<'a> Shard<'a> {
             secs_to_us(config.metrics_interval_s),
             LaneEvent::MetricsTick,
         );
-        if !shard.lane.arrivals_us.is_empty() {
+        if let Some(&first) = shard.lane.arrivals_s.first() {
             shard.seq += 1;
-            shard.lane.next_arrival = Some((shard.lane.arrivals_us[0], shard.seq, 0));
+            shard.lane.next_arrival = Some((secs_to_us(first), shard.seq, 0));
         }
         shard
     }
@@ -629,11 +631,12 @@ impl<'a> Shard<'a> {
 
     fn on_arrival(&mut self, ctx: &LaneCtx<'_>, idx: usize) -> Result<(), EngineError> {
         let lane = &mut self.lane;
-        let arrival_time = lane.arrivals_us[idx];
+        // The dispatch loop set `now` to this arrival's time.
+        let arrival_time = self.now;
         // Schedule the lane's next arrival first.
-        if idx + 1 < lane.arrivals_us.len() {
+        if let Some(&next) = lane.arrivals_s.get(idx + 1) {
             self.seq += 1;
-            lane.next_arrival = Some((lane.arrivals_us[idx + 1], self.seq, idx + 1));
+            lane.next_arrival = Some((secs_to_us(next), self.seq, idx + 1));
         }
         lane.current.arrivals += 1;
         lane.arrivals_this_interval += 1;

@@ -14,7 +14,9 @@
 //! values in `2^HIST_SUB_BITS` sub-buckets per power of two (≤ ~3% relative
 //! error). Because the layout never adapts, merging histograms is exact
 //! element-wise integer addition — lane merges and seed aggregation commute
-//! with recording.
+//! with recording. Each histogram stores only its occupied range of the layout
+//! (lowest to highest occupied bucket), so an empty one costs no allocation and
+//! a per-interval window of 20 ms – 5 s latencies holds at most ~300 buckets.
 //!
 //! # Query tracing
 //!
@@ -70,6 +72,9 @@ pub struct ObserveConfig {
     /// events), and the windowed recorder is a second histogram recorded in
     /// parallel with the whole-run one, swapped out at each interval flush —
     /// so the per-interval deltas re-merge *exactly* to the run histogram.
+    /// Each closed interval keeps only the buckets its latencies occupy
+    /// (8 B per bucket, a few hundred buckets at most for typical SLOs; an
+    /// interval with no completions allocates nothing).
     pub timeline: bool,
 }
 
@@ -118,12 +123,24 @@ pub fn bucket_low(index: usize) -> u64 {
 }
 
 /// An HDR-style log-linear histogram over microsecond values with a fixed
-/// bucket layout, so merges are exact integer additions. Preallocated at
-/// construction; recording is branch + shift + increment.
+/// bucket layout, so merges are exact integer additions.
+///
+/// Only the occupied range of the layout is stored: `counts[i]` is bucket
+/// `lo + i`, from the lowest to the highest occupied bucket. The range is
+/// fixed by the data, so two histograms of the same values compare equal
+/// whatever order they were recorded or merged in. An empty histogram
+/// allocates nothing; a typical latency stream occupies a few hundred of the
+/// layout's [`HIST_BUCKETS`] buckets (a few KB; the full layout is 15 KB).
+/// Recording inside the stored range is a subtract, a compare and an
+/// increment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
+    /// Layout index of `counts[0]` (0 while empty).
+    lo: usize,
     counts: Vec<u64>,
     total: u64,
+    /// Sum of the recorded values, wrapping past `u64::MAX` (a sum of ~584k
+    /// simulated years; reachable only with edge values near `u64::MAX`).
     sum_us: u64,
     min_us: u64,
     max_us: u64,
@@ -136,10 +153,13 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram with the full fixed layout preallocated.
+    /// An empty histogram. Allocates nothing until the first value is
+    /// recorded; the stored range then grows to cover exactly the occupied
+    /// buckets.
     pub fn new() -> Self {
         Self {
-            counts: vec![0; HIST_BUCKETS],
+            lo: 0,
+            counts: Vec::new(),
             total: 0,
             sum_us: 0,
             min_us: u64::MAX,
@@ -150,14 +170,44 @@ impl Histogram {
     /// Record one microsecond value.
     #[inline]
     pub fn record(&mut self, us: u64) {
-        self.counts[bucket_index(us)] += 1;
+        let index = bucket_index(us);
+        match self.counts.get_mut(index.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(index),
+        }
         self.total += 1;
-        self.sum_us += us;
+        self.sum_us = self.sum_us.wrapping_add(us);
         if us < self.min_us {
             self.min_us = us;
         }
         if us > self.max_us {
             self.max_us = us;
+        }
+    }
+
+    /// Count one value in a bucket outside the stored range, widening the
+    /// range to reach it.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, index: usize) {
+        self.widen(index, index);
+        self.counts[index - self.lo] += 1;
+    }
+
+    /// Widen the stored range to cover buckets `lo..=hi` (zero-filled).
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.lo = lo;
+            self.counts.resize(hi - lo + 1, 0);
+            return;
+        }
+        if lo < self.lo {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.lo - lo));
+            self.lo = lo;
+        }
+        if hi >= self.lo + self.counts.len() {
+            self.counts.resize(hi - self.lo + 1, 0);
         }
     }
 
@@ -171,7 +221,8 @@ impl Histogram {
         self.total == 0
     }
 
-    /// Exact mean of the recorded values in milliseconds (0 when empty).
+    /// Exact mean of the recorded values in milliseconds (0 when empty; the
+    /// sum wraps if the values add up past `u64::MAX` µs).
     pub fn mean_ms(&self) -> f64 {
         if self.total == 0 {
             0.0
@@ -202,7 +253,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             cumulative += c;
             if cumulative >= rank {
-                return bucket_low(i);
+                return bucket_low(self.lo + i);
             }
         }
         self.max_us
@@ -216,11 +267,15 @@ impl Histogram {
     /// Merge another histogram into this one. Exact: the result is
     /// bit-identical to a histogram that recorded both value streams.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.widen(other.lo, other.lo + other.counts.len() - 1);
+            let offset = other.lo - self.lo;
+            for (a, b) in self.counts[offset..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
-        self.sum_us += other.sum_us;
+        self.sum_us = self.sum_us.wrapping_add(other.sum_us);
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
     }
@@ -251,8 +306,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Empty stats preallocated for `num_tasks` tasks and `num_classes`
-    /// worker classes.
+    /// Empty stats for `num_tasks` tasks and `num_classes` worker classes
+    /// (each histogram allocates on its first recorded value).
     pub fn new(num_tasks: usize, num_classes: usize) -> Self {
         Self {
             e2e: Histogram::new(),
@@ -900,6 +955,157 @@ mod tests {
         assert_eq!(a.e2e.count(), 2);
         assert_eq!(a.per_task.len(), 3);
         assert_eq!(a.per_task[2].count(), 1);
+    }
+
+    /// The dense reference the stored-range histogram must agree with: one
+    /// counter per bucket of the full layout.
+    struct DenseHistogram {
+        counts: Vec<u64>,
+        total: u64,
+    }
+
+    impl DenseHistogram {
+        fn of(values: &[u64]) -> Self {
+            let mut counts = vec![0; HIST_BUCKETS];
+            for &v in values {
+                counts[bucket_index(v)] += 1;
+            }
+            Self {
+                counts,
+                total: values.len() as u64,
+            }
+        }
+
+        fn percentile_us(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+            let mut cumulative = 0;
+            for (i, &c) in self.counts.iter().enumerate() {
+                cumulative += c;
+                if cumulative >= rank {
+                    return bucket_low(i);
+                }
+            }
+            unreachable!("the ranks sum to the total")
+        }
+    }
+
+    fn recorded(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Values on and around the layout's edges: the linear cutoff, powers of
+    /// two, and the top of the `u64` range.
+    fn edge_values() -> Vec<u64> {
+        let mut values = vec![0, 31, 32, 33, u64::MAX];
+        for k in 1..64 {
+            let p = 1u64 << k;
+            values.extend([p - 1, p, p + 1]);
+        }
+        values
+    }
+
+    /// A seeded stream over `lo..hi` µs, log-uniform so every power of two in
+    /// the range gets values.
+    fn seeded_stream(seed: u64, len: usize, lo: u64, hi: u64) -> Vec<u64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (lo_ln, hi_ln) = ((lo as f64).ln(), (hi as f64).ln());
+        (0..len)
+            .map(|_| (rng.gen_range(lo_ln..hi_ln).exp() as u64).clamp(lo, hi - 1))
+            .collect()
+    }
+
+    const QUANTILES: [f64; 9] = [0.0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0];
+
+    #[test]
+    fn stored_range_percentiles_match_the_dense_layout() {
+        let mut streams = vec![edge_values()];
+        for seed in 0..4 {
+            streams.push(seeded_stream(seed, 5_000, 1, 1 << 40));
+            let mut with_edges = seeded_stream(100 + seed, 2_000, 20_000, 5_000_000);
+            with_edges.extend(edge_values());
+            streams.push(with_edges);
+        }
+        for values in &streams {
+            let h = recorded(values);
+            let dense = DenseHistogram::of(values);
+            for q in QUANTILES {
+                assert_eq!(h.percentile_us(q), dense.percentile_us(q), "q = {q}");
+            }
+            assert_eq!(h.count(), values.len() as u64);
+            assert_eq!(h.max_us(), *values.iter().max().unwrap());
+            // The stored range is exactly the lowest to the highest occupied
+            // bucket of the dense layout.
+            let first = dense.counts.iter().position(|&c| c > 0).unwrap();
+            let last = dense.counts.iter().rposition(|&c| c > 0).unwrap();
+            assert_eq!(h.lo, first);
+            assert_eq!(h.counts, dense.counts[first..=last]);
+        }
+    }
+
+    #[test]
+    fn recording_order_does_not_change_the_histogram() {
+        for seed in 0..4 {
+            let mut values = seeded_stream(seed, 3_000, 1, 1 << 30);
+            values.extend(edge_values());
+            let forward = recorded(&values);
+            values.reverse();
+            assert_eq!(recorded(&values), forward);
+            values.sort_unstable();
+            assert_eq!(recorded(&values), forward);
+        }
+    }
+
+    #[test]
+    fn merge_of_any_two_ranges_equals_recording_both() {
+        let low = seeded_stream(1, 1_000, 10, 1_000);
+        let high = seeded_stream(2, 1_000, 100_000, 10_000_000);
+        let wide = seeded_stream(3, 1_000, 5, 50_000_000);
+        let mid = seeded_stream(4, 1_000, 500, 200_000);
+        let cases: [(&[u64], &[u64]); 6] = [
+            (&[], &low),   // into an empty histogram
+            (&low, &[]),   // an empty histogram in
+            (&low, &high), // disjoint
+            (&high, &low), // disjoint, other side
+            (&low, &mid),  // overlapping
+            (&wide, &mid), // nested
+        ];
+        for (a, b) in cases {
+            let mut merged = recorded(a);
+            merged.merge(&recorded(b));
+            let both: Vec<u64> = a.iter().chain(b).copied().collect();
+            assert_eq!(merged, recorded(&both));
+            // Nested the other way round: the outer range merged into the inner.
+            let mut reversed = recorded(b);
+            reversed.merge(&recorded(a));
+            assert_eq!(reversed, recorded(&both));
+        }
+    }
+
+    #[test]
+    fn an_empty_histogram_allocates_nothing() {
+        let h = Histogram::default();
+        assert_eq!(h.counts.capacity(), 0);
+        // Merging two empty histograms keeps them allocation-free.
+        let mut merged = Histogram::new();
+        merged.merge(&h);
+        assert_eq!(merged.counts.capacity(), 0);
+        assert_eq!(merged, Histogram::new());
+    }
+
+    #[test]
+    fn a_window_of_latencies_stores_a_few_hundred_buckets() {
+        // One metrics interval of served latencies between 20 ms and 5 s.
+        let values = seeded_stream(7, 10_000, 20_000, 5_000_000);
+        let h = recorded(&values);
+        assert!(h.counts.len() <= 320, "{} buckets", h.counts.len());
     }
 
     #[test]
